@@ -10,7 +10,6 @@ byte-identical output.  Exit codes: 0 ok, 2 usage, 3 tolerance failure,
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,19 +22,9 @@ EXIT_USAGE = 2
 EXIT_TOLERANCE = 3
 EXIT_IO = 4
 
-THREADS_ENV = "VVLF_THREADS"
-
 
 def _num(x):
     return repr(float(x))
-
-
-def _pmap(fn, items, threads):
-    """Map preserving input order; parallelism never reorders the reduction."""
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _config_echo(args, keys):
@@ -92,15 +81,9 @@ def _load_form(args):
 def cmd_lfun(args):
     f = _load_form(args)
     sigmas = np.linspace(args.sigma_min, args.sigma_max, args.points)
-    threads = args.threads
-
-    def one(sig):
-        val = lfunction.completed_L(f, complex(sig, args.t0), order=args.order)
-        return sig, val
-
-    rows = _pmap(one, sigmas, threads)
+    grid = lfunction.completed_L_grid(f, sigmas + 1j * args.t0, order=args.order)
     body = ["sigma,t,component,re,im,tail_bound"]
-    for sig, val in rows:
+    for sig, row, tail in zip(sigmas, grid.values, grid.tail_bound):
         for j in range(f.dim):
             body.append(
                 ",".join(
@@ -108,15 +91,15 @@ def cmd_lfun(args):
                         _num(sig),
                         _num(args.t0),
                         str(j + 1),
-                        _num(val.value[j].real),
-                        _num(val.value[j].imag),
-                        _num(val.tail_bound),
+                        _num(row[j].real),
+                        _num(row[j].imag),
+                        _num(tail),
                     ]
                 )
             )
     header = [
         f"vvlf {__version__} lfun",
-        f"config {_config_echo(args, ('k', 'form_file', 'order', 't0', 'sigma_min', 'sigma_max', 'points', 'threads'))}",
+        f"config {_config_echo(args, ('k', 'form_file', 'order', 't0', 'sigma_min', 'sigma_max', 'points'))}",
     ]
     _write_report(args.out, header, body)
     print(f"wrote {args.out} ({args.points} grid points)")
@@ -189,12 +172,11 @@ def cmd_verify_identity(args):
 def cmd_scan(args):
     basis = experiments.builtin_scalar_basis(args.k)
     rep = experiments.scan_strip(
-        basis, args.i, args.n, args.t0, args.eps, args.points,
-        window=args.window, threads=args.threads,
+        basis, args.i, args.n, args.t0, args.eps, args.points, window=args.window
     )
     header = [
         f"vvlf {__version__} scan",
-        f"config {_config_echo(args, ('k', 'i', 'n', 't0', 'eps', 'points', 'window', 'threads'))}",
+        f"config {_config_echo(args, ('k', 'i', 'n', 't0', 'eps', 'points', 'window'))}",
         f"min_abs_D {_num(rep.min_abs)} at sigma {_num(rep.argmin_sigma)}",
         f"crossing_flags {len(rep.crossing_flags)}",
     ]
@@ -290,7 +272,6 @@ def build_parser():
         description="Vector-valued modular form L-function toolkit",
     )
     parser.add_argument("--config", help="key=value config file; flags win")
-    default_threads = int(os.environ.get(THREADS_ENV, "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lfun", help="tabulate completed L-values and derivatives")
@@ -301,7 +282,6 @@ def build_parser():
     p.add_argument("--sigma-min", dest="sigma_min", type=float, default=4.0)
     p.add_argument("--sigma-max", dest="sigma_max", type=float, default=8.0)
     p.add_argument("--points", type=int, default=9)
-    p.add_argument("--threads", type=int, default=default_threads)
     p.add_argument("--out", default="lfun.csv")
     p.set_defaults(func=cmd_lfun)
 
@@ -346,7 +326,6 @@ def build_parser():
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--window", choices=("lower", "mirror"), default="lower")
-    p.add_argument("--threads", type=int, default=default_threads)
     p.add_argument("--out", default="scan.csv")
     p.set_defaults(func=cmd_scan)
 
@@ -384,6 +363,9 @@ def main(argv=None):
                     setattr(args, key, val)
     try:
         return args.func(args)
+    except lfunction.GridAccuracyError as exc:
+        print(f"tolerance failure: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

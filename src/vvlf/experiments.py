@@ -21,7 +21,7 @@ import numpy as np
 from . import petersson
 from .forms import scalar_basis
 from .kernel import KernelParams, constants, kernel_coeff
-from .lfunction import completed_L
+from .lfunction import completed_L, completed_L_grid
 from .special_functions import polygamma
 
 
@@ -82,19 +82,24 @@ def n_zero(kappa):
     return 1 if kappa < 1e-12 else 0
 
 
+def basis_weights(basis, i):
+    """b_{l,i}(n_{i,0}) / (f_l, f_l) for l = 1, ..., dim_space."""
+    n0 = n_zero(basis.action.kappa()[i - 1])
+    return [complex(basis.b(l, i, n0)) / basis.norms[l - 1] for l in range(1, basis.dim_space + 1)]
+
+
 def averaged_derivative(basis, i, n, s):
-    """D_n(s); reduces to b(n0)/(f,f) L*^(n) componentwise for dim-1 spaces."""
+    """D_n(s); reduces to b(n0)/(f,f) L*^(n) componentwise for dim-1 spaces.
+
+    Per-point route: one completed_L per basis element with b != 0.
+    """
     if basis.dim_space == 0:
         raise ValueError("empty basis")
-    kap = basis.action.kappa()[i - 1]
-    n0 = n_zero(kap)
     acc = 0.0 + 0.0j
-    for l in range(1, basis.dim_space + 1):
-        b = basis.b(l, i, n0)
-        if b == 0:
+    for w, f in zip(basis_weights(basis, i), basis.forms):
+        if w == 0:
             continue
-        lval = completed_L(basis.forms[l - 1], s, order=n)
-        acc += complex(b) / basis.norms[l - 1] * lval.value[i - 1]
+        acc += w * completed_L(f, s, order=n).value[i - 1]
     return acc
 
 
@@ -116,18 +121,9 @@ def verify_identity(basis, i, s, order=0, kparams=None):
     action = basis.action
     if kparams is None:
         kparams = KernelParams(action=action, i=i, s=s, c_max=14, a_max=80)
-    kap = action.kappa()[i - 1]
-    n0 = n_zero(kap)
-    coeff = kernel_coeff(kparams, i, n0, order)
+    coeff = kernel_coeff(kparams, i, n_zero(action.kappa()[i - 1]), order)
     _, ck = constants(action.twok, s)
-    rhs = 0.0 + 0.0j
-    for l in range(1, basis.dim_space + 1):
-        b = basis.b(l, i, n0)
-        if b == 0:
-            continue
-        lval = completed_L(basis.forms[l - 1], s, order=order)
-        rhs += complex(b) / basis.norms[l - 1] * lval.value[i - 1]
-    rhs *= ck
+    rhs = ck * averaged_derivative(basis, i, order, s)
     absr = abs(coeff.value - rhs)
     return IdentityReport(
         k=action.weight,
@@ -208,12 +204,11 @@ def _zero_flags(values):
     return tuple(flags)
 
 
-def scan_strip(basis, i, n, t0, eps, grid_size, window="lower", threads=1):
+def scan_strip(basis, i, n, t0, eps, grid_size, window="lower"):
     """D_n over a sigma-grid strictly inside the requested window.
 
-    Grid points evaluate independently (optionally across a worker pool);
-    assembly is always in grid order, so results do not depend on the pool
-    size.
+    Each basis element's L*^(n) comes from one completed_L_grid call over the
+    whole grid; averaged_derivative is the per-point oracle for it.
     """
     if n < 0:
         raise ValueError("derivative order must be >= 0")
@@ -224,34 +219,10 @@ def scan_strip(basis, i, n, t0, eps, grid_size, window="lower", threads=1):
     started = time.monotonic()
     qs = np.arange(1, grid_size + 1)
     sigmas = lo + (hi - lo) * qs / (grid_size + 1.0)
-    kap = basis.action.kappa()[i - 1]
-    n0 = n_zero(kap)
-    values = np.zeros(grid_size, dtype=complex)
-    per_el = np.zeros((grid_size, basis.dim_space), dtype=complex)
-
-    def point(sig):
-        s = complex(sig, t0)
-        row = np.array(
-            [
-                completed_L(basis.forms[l - 1], s, order=n).value[i - 1]
-                for l in range(1, basis.dim_space + 1)
-            ]
-        )
-        return row
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(point, sigmas))
-    else:
-        rows = [point(sig) for sig in sigmas]
-    weights = np.array(
-        [complex(basis.b(l, i, n0)) / basis.norms[l - 1] for l in range(1, basis.dim_space + 1)]
+    per_el = np.column_stack(
+        [completed_L_grid(f, sigmas + 1j * t0, order=n).values[:, i - 1] for f in basis.forms]
     )
-    for q, row in enumerate(rows):
-        per_el[q] = row
-        values[q] = np.dot(weights, row)
+    values = np.einsum("ql,l->q", per_el, np.array(basis_weights(basis, i)))
     absv = np.abs(values)
     qmin = int(np.argmin(absv))
     return ScanReport(

@@ -1,9 +1,13 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
-from vvlf import cli
+from vvlf import cli, lfunction
 from conftest import DATA_DIR
+
+SRC_DIR = os.path.dirname(os.path.dirname(cli.__file__))
 
 JCF = os.path.join(DATA_DIR, "jacobi_k10_m1.jcf")
 
@@ -39,14 +43,18 @@ def test_scan_csv_and_determinism(tmp_path):
     assert len(data) == 41
 
 
-def test_scan_threaded_matches_serial(tmp_path):
-    out1 = tmp_path / "s1.csv"
-    out2 = tmp_path / "s2.csv"
-    argv = ["scan", "--k", "12", "--n", "1", "--points", "20"]
-    assert run(argv + ["--threads", "1", "--out", str(out1)]) == 0
-    assert run(argv + ["--threads", "4", "--out", str(out2)]) == 0
-    strip = lambda p: [l for l in p.read_text().splitlines() if "threads" not in l]
-    assert strip(out1) == strip(out2)
+def test_scan_byte_identical_across_blas_threads(tmp_path):
+    # Criterion 11 must not depend on how many threads BLAS uses.
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=SRC_DIR)
+        argv = ["scan", "--k", "12", "--n", "1", "--points", "60", "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "vvlf"] + argv, env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_lfun_grid(tmp_path):
@@ -55,6 +63,11 @@ def test_lfun_grid(tmp_path):
     data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert data[0] == "sigma,t,component,re,im,tail_bound"
     assert len(data) == 6
+
+
+def test_lfun_grid_accuracy_failure_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(lfunction, "_GRID_TOL", 1e-30)
+    assert run(["lfun", "--k", "12", "--points", "3", "--out", str(tmp_path / "l.csv")]) == 3
 
 
 def test_kernel_coeff_subcommand(tmp_path):
@@ -138,14 +151,6 @@ def test_petersson_subcommand(capsys):
     assert run(["petersson", "--k", "12"]) == 0
     out = capsys.readouterr().out
     assert "1.03536" in out
-
-
-def test_threads_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "3")
-    out = tmp_path / "env.csv"
-    assert run(["scan", "--k", "12", "--points", "10", "--out", str(out)]) == 0
-    header = [l for l in out.read_text().splitlines() if l.startswith("# config")][0]
-    assert "threads=3" in header
 
 
 def test_lfun_from_form_file(tmp_path):

@@ -152,3 +152,47 @@ def test_partial_l_normalization_conversion(jacobi_decomposed):
     frac = lf.partial_L(jacobi_decomposed, 2, s, normalization="fractional")
     integer = lf.partial_L(jacobi_decomposed, 2, s, normalization="integer")
     assert abs(integer - frac * 4.0 ** (-s)) < 1e-12 * abs(frac)
+
+
+# ----------------------------------------------------------------------
+# grid route vs the per-point oracle
+# ----------------------------------------------------------------------
+
+
+def _grid_vs_points(f, s_list):
+    s = np.array(s_list, dtype=complex)
+    for order in range(6):
+        grid = lf.completed_L_grid(f, s, order)
+        assert grid.values.shape == (len(s), f.dim)
+        for q, z in enumerate(s):
+            ref = lf.completed_L(f, z, order)
+            diff = np.abs(grid.values[q] - ref.value).max()
+            assert diff <= 1e-12 * np.abs(ref.value).max(), (z, order)
+            assert diff <= grid.error[q] + grid.tail_bound[q], (z, order)
+            assert grid.tail_bound[q] == ref.tail_bound
+
+
+def test_grid_matches_per_point_scalar(delta):
+    # strip 1 < sigma < 11; -3, 0.5, 14, 30 and -2 + 3i lie outside it
+    _grid_vs_points(delta, [-3.0, 0.5, 4.25, 7.5, 14.0, 30.0, 2.5 + 1.5j, 6.0 + 0.7j, -2.0 + 3.0j, 13.0 - 2.0j])
+
+
+def test_grid_matches_per_point_weil(jacobi_decomposed):
+    # k = 19/2: strip 1 < sigma < 8.5
+    _grid_vs_points(jacobi_decomposed, [-3.0, 0.5, 3.5, 6.1, 12.0, 25.0, 2.0 + 1.0j, 4.75 + 0.4j, -1.5 + 2.5j, 11.0 - 1.5j])
+
+
+def test_grid_raises_when_check_fails(delta, monkeypatch):
+    monkeypatch.setattr(lf, "_GRID_TOL", 1e-30)
+    with pytest.raises(lf.GridAccuracyError):
+        lf.completed_L_grid(delta, [5.0, 6.0 + 1.0j])
+
+
+def test_grid_rejects_bad_input(delta):
+    th = forms.theta_vector_expansion(1, 100)
+    with pytest.raises(ValueError):
+        lf.completed_L_grid(th, [2.0])
+    with pytest.raises(ValueError):
+        lf.completed_L_grid(delta, [5.0], order=6)
+    with pytest.raises(ValueError):
+        lf.completed_L_grid(delta, [])
